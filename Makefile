@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build fmtcheck vet test race benchsmoke bench benchfull chaos crash fuzzsmoke
+.PHONY: verify build fmtcheck vet test perfbench race benchsmoke bench benchfull chaos crash fuzzsmoke
 
 # Tier-1 verification: everything must be green before a merge.
-verify: build fmtcheck vet test race benchsmoke chaos crash fuzzsmoke
+verify: build fmtcheck vet test perfbench race benchsmoke chaos crash fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark (BENCHMARK.json) is its own module, so ./... above
+# skips it, yet it compiles against the public clam API: vet and test it
+# here so an API change cannot silently break the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-heavy packages additionally run under the race detector:
 # sessions, heartbeats, eviction, upcall queues, the RUC table and the

@@ -580,9 +580,9 @@ func BenchmarkAblation_HandleLookup(b *testing.B) {
 // program order, so only independent synchronous calls may overlap).
 // Cross-object rows aim every client at its own pinger instance — the
 // case the per-object executor parallelizes; same-object rows all hammer
-// one instance, which must stay serialized in every engine. The _Serial
-// variants rerun the cross-object shape on the pre-change serial
-// dispatcher (WithPerObjectDispatch(false)) as the ablation baseline, and
+// one instance, which must stay serialized in every policy. The _Serial
+// variants rerun the cross-object shape under the executor's serial
+// ablation (WithPerObjectDispatch(false)) as the baseline, and
 // the TwoHop rows interpose a middle server relaying over proxy handles
 // so the chain's hops parallelize too.
 
@@ -700,7 +700,7 @@ func throughputBench(b *testing.B, clients, inflight, hops int, cross, serial bo
 func BenchmarkThroughput_SameObject_8x4(b *testing.B)  { throughputBench(b, 8, 4, 1, false, false) }
 func BenchmarkThroughput_CrossObject_8x4(b *testing.B) { throughputBench(b, 8, 4, 1, true, false) }
 
-// Serial-dispatcher ablation of the same shapes: the pre-change engine.
+// The executor's serial ablation policy on the same shapes.
 func BenchmarkThroughput_SameObject_8x4_Serial(b *testing.B) {
 	throughputBench(b, 8, 4, 1, false, true)
 }

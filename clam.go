@@ -359,9 +359,10 @@ var (
 	// (default max(2, GOMAXPROCS)); blocked handlers release their slot.
 	// Example: clam.NewServer(lib, clam.WithDispatchWorkers(8)).
 	WithDispatchWorkers = core.WithDispatchWorkers
-	// WithPerObjectDispatch selects the dispatch engine: true (default)
-	// serializes calls per target object and runs distinct objects
-	// concurrently; false restores the serial per-session dispatcher.
+	// WithPerObjectDispatch selects the dispatch executor's policy: true
+	// (default) serializes calls per target object and runs distinct
+	// objects concurrently; false is the serial ablation, which runs each
+	// session's calls in arrival order on one worker.
 	// Example: clam.NewServer(lib, clam.WithPerObjectDispatch(false)).
 	WithPerObjectDispatch = core.WithPerObjectDispatch
 	// WithResumeWindow parks a disconnected session for the given grace

@@ -260,11 +260,11 @@ var preChangeBaseline = jsonBaseline{
 
 // preChangeThroughput is the throughput matrix captured on the serial
 // per-session dispatcher — the engine this repo shipped before the
-// per-object executor (the serial ablation reproduces it exactly, so the
-// capture ran these same rows under WithPerObjectDispatch(false) on the
-// tree of commit c9aedfd, Intel Xeon @ 2.70GHz, GOMAXPROCS=1). Embedded
-// so every BENCH_3.json carries the before/after the executor targets:
-// cross-object rows are the ones per-object dispatch must beat.
+// per-object executor, since replaced by the executor's serial ablation
+// policy (captured with these same rows under WithPerObjectDispatch(false)
+// on the tree of commit c9aedfd, Intel Xeon @ 2.70GHz, GOMAXPROCS=1).
+// Embedded so every BENCH_3.json carries the before/after the executor
+// targets: cross-object rows are the ones per-object dispatch must beat.
 var preChangeThroughput = jsonBaseline{
 	Source: "clambench throughput rows, serial dispatcher (WithPerObjectDispatch(false)), pre-executor tree (c9aedfd)",
 	Results: []jsonResult{

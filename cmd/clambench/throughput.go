@@ -3,8 +3,8 @@
 // cross-object, one hop vs a two-hop forwarding chain, and a
 // worker-count sweep. Each handler parks in Pinger.Hold for ~50µs — the
 // stand-in for a handler that waits on I/O or a lower layer — so the
-// dispatch engine, not the wire, is the bottleneck: the serial
-// dispatcher admits one handler at a time while the per-object executor
+// dispatch executor, not the wire, is the bottleneck: the serial
+// ablation admits one handler at a time while the per-object policy
 // overlaps independent objects. Calls are synchronous from separate
 // goroutines because §3.4 pins one session's asynchronous calls to
 // program order; only independent synchronous calls may legally overlap.
@@ -33,7 +33,7 @@ type tputConfig struct {
 	inflight int
 	hops     int
 	cross    bool
-	workers  int // 0 = engine default, >0 = WithDispatchWorkers, -1 = serial dispatcher
+	workers  int // 0 = executor default, >0 = WithDispatchWorkers, -1 = serial ablation
 }
 
 func (c tputConfig) serverOpts() []core.ServerOption {
@@ -189,7 +189,7 @@ func runThroughput(n int) []row {
 	}
 
 	fmt.Println()
-	fmt.Println("Dispatch shape checks (per-object executor vs serial dispatcher):")
+	fmt.Println("Dispatch shape checks (per-object policy vs serial ablation):")
 	check := func(name string, ok bool) {
 		status := "PASS"
 		if !ok {

@@ -60,7 +60,7 @@ func main() {
 	maxUpcalls := flag.Int("max-client-upcalls", 0, "concurrent upcalls allowed per client (0 = the paper's limit of 1)")
 	dispatchWorkers := flag.Int("dispatch-workers", 0, "bound on concurrently running call handlers (0 = max(2, GOMAXPROCS))")
 	fanoutShards := flag.Int("fanout-shards", 0, "shard count for the multicast subscription table, rounded up to a power of two (0 = default 32)")
-	serialDispatch := flag.Bool("serial-dispatch", false, "use the original serial per-session dispatcher instead of the per-object executor")
+	serialDispatch := flag.Bool("serial-dispatch", false, "run the dispatch executor's serial ablation: each session's calls in arrival order, one handler at a time")
 	upstream := flag.String("upstream", "", "lower CLAM server to stack on, as network:address; this server relays calls down and upcalls up")
 	imports := flag.String("import", "", "comma-separated named objects to re-export from the -upstream server as proxies")
 	meshName := flag.String("mesh-name", "", "this server's unique name in a federated mesh; enables JoinMesh")

@@ -948,8 +948,7 @@ func (c *Client) call(h handle.Handle, method string, rets []any, args []any) er
 // know whether the server executed the call, so re-execution must be
 // harmless, and only the application can promise that. A cooperative task
 // never retries — sleeping out a backoff while holding the scheduler's
-// run token would stall every other task (relevant on a middle-tier
-// server forwarding from a dispatcher task, see forward.go).
+// run token would stall every other task.
 func (c *Client) callRetry(ctx context.Context, h handle.Handle, method string, rets []any, args []any, idempotent bool) error {
 	attempts := 1
 	if idempotent && c.retry.Attempts > 1 && task.Current() == nil {

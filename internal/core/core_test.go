@@ -345,9 +345,17 @@ func TestUpcallsFromTwoClientsIsolated(t *testing.T) {
 
 // The reentrant pattern behind the sweep example's finale: an upcall
 // handler makes an RPC back into the server while the server task that
-// made the upcall is still blocked.
+// made the upcall is still blocked. In the serial ablation the reentrant
+// call queues behind the blocked one on the session's chain and the pool
+// has one worker, so it only runs because the upcall yields.
 func TestReentrantCallDuringUpcall(t *testing.T) {
-	srv, path := startServer(t)
+	forEachDispatchMode(t, func(t *testing.T, opts []ServerOption) {
+		testReentrantCallDuringUpcall(t, opts)
+	})
+}
+
+func testReentrantCallDuringUpcall(t *testing.T, opts []ServerOption) {
+	srv, path := startServer(t, opts...)
 	obj, _, err := srv.CreateInstance("counter", 0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,11 @@ import (
 	"clam/internal/dynload"
 )
 
-// Ordering-semantics tests for the per-object dispatch executor
-// (executor.go), run against both engines: the executor must preserve
-// every guarantee the serial dispatcher gave — same-object calls never
-// interleave, one client task's calls execute in program order (§3.4) —
-// while actually overlapping independent objects, which only the executor
+// Ordering-semantics tests for the dispatch executor (executor.go), run
+// under both of its policies: each must keep every guarantee of the
+// paper's per-session dispatcher — same-object calls never interleave,
+// one client task's calls execute in program order (§3.4) — while the
+// per-object policy actually overlaps independent objects, which only it
 // is asserted to do.
 
 // stepper detects concurrent entry into Step: entries counts handlers
@@ -41,8 +41,17 @@ func (s *stepper) Step() {
 type recorder struct{ log *orderLog }
 
 type orderLog struct {
-	mu  sync.Mutex
-	seq []string
+	mu      sync.Mutex
+	seq     []string
+	release chan struct{} // closed by the test to let Await return
+}
+
+// Await notes s once the test closes the log's release channel: a handler
+// that holds its object (and, in the serial policy, the one worker) for
+// as long as the test needs.
+func (r *recorder) Await(s string) {
+	<-r.log.release
+	r.Note(s)
 }
 
 func (r *recorder) Note(s string) {
@@ -85,11 +94,43 @@ func (g *gate) Meet() int64 {
 	}
 }
 
+// bouncer makes a distributed upcall to its client mid-handler, so its
+// worker yields; act tracks, across every instance, how many handlers
+// run unblocked at once.
+type bouncer struct {
+	act *activity
+	fn  func() int64
+}
+
+type activity struct{ now, max atomic.Int32 }
+
+func (a *activity) busy(d time.Duration) {
+	n := a.now.Add(1)
+	for m := a.max.Load(); n > m && !a.max.CompareAndSwap(m, n); m = a.max.Load() {
+	}
+	time.Sleep(d)
+	a.now.Add(-1)
+}
+
+func (b *bouncer) Register(fn func() int64) { b.fn = fn }
+
+func (b *bouncer) Bounce() int64 {
+	b.act.busy(200 * time.Microsecond)
+	v := b.fn()
+	b.act.busy(200 * time.Microsecond)
+	return v
+}
+
 func dispatchLibrary(t testing.TB) *dynload.Library {
 	t.Helper()
 	lib := dynload.NewLibrary()
 	meet := &meeting{both: make(chan struct{})}
-	rlog := &orderLog{}
+	rlog := &orderLog{release: make(chan struct{})}
+	act := &activity{}
+	lib.MustRegister(dynload.Class{
+		Name: "bouncer", Version: 1, Type: reflect.TypeOf(&bouncer{}),
+		New: func(any) (any, error) { return &bouncer{act: act}, nil },
+	})
 	lib.MustRegister(dynload.Class{
 		Name: "stepper", Version: 1, Type: reflect.TypeOf(&stepper{}),
 		New: func(any) (any, error) { return &stepper{}, nil },
@@ -139,7 +180,7 @@ func forEachDispatchMode(t *testing.T, fn func(t *testing.T, opts []ServerOption
 }
 
 // TestDispatchSameObjectNeverInterleaves: concurrent clients hammering
-// one object stay strictly serialized — in both engines.
+// one object stay strictly serialized — under both policies.
 func TestDispatchSameObjectNeverInterleaves(t *testing.T) {
 	forEachDispatchMode(t, func(t *testing.T, opts []ServerOption) {
 		_, path, objs := startDispatchServer(t, map[string]string{"step": "stepper"}, opts...)
@@ -177,7 +218,7 @@ func TestDispatchSameObjectNeverInterleaves(t *testing.T) {
 // TestDispatchSameTaskProgramOrder: one client task's asynchronous calls,
 // alternating between two objects and flushed by Sync, execute in program
 // order (§3.4) — with client batching on (multi-call batches) and off
-// (every call its own message), in both engines.
+// (every call its own message), under both policies.
 func TestDispatchSameTaskProgramOrder(t *testing.T) {
 	forEachDispatchMode(t, func(t *testing.T, opts []ServerOption) {
 		for _, batching := range []bool{true, false} {
@@ -237,7 +278,7 @@ func TestDispatchSameTaskProgramOrder(t *testing.T) {
 // TestDispatchCrossObjectOverlap: two synchronous calls from one session
 // to distinct objects run simultaneously under the executor — the
 // rendezvous only succeeds if both handlers are in flight at once. (The
-// serial engine would time this out by design, so it is not run here.)
+// serial policy would time this out by design, so it is not run here.)
 func TestDispatchCrossObjectOverlap(t *testing.T) {
 	srv, path, _ := startDispatchServer(t, map[string]string{"g1": "gate", "g2": "gate"})
 	c := dialClient(t, path)
@@ -279,7 +320,7 @@ func TestDispatchCrossObjectOverlap(t *testing.T) {
 // client → middle server → bottom server) preserves one task's program
 // order end-to-end: asyncs relayed down through proxy handles land on the
 // bottom objects in issue order, and the chained Sync flushes them all —
-// in both engines (both hops run the same engine per mode).
+// under both policies (both hops run the same policy per mode).
 func TestDispatchChainPerObjectOrder(t *testing.T) {
 	forEachDispatchMode(t, func(t *testing.T, opts []ServerOption) {
 		bottom, _, objs := startDispatchServer(t,
@@ -338,6 +379,104 @@ func TestDispatchChainPerObjectOrder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDispatchSerialSessionArrivalOrder: the serial policy runs one
+// session's calls in arrival order even when they are synchronous and
+// target distinct objects. Session X holds rec1; session Y's call to rec1
+// queues behind it, then Y's call to rec2 arrives. rec2 is free, but the
+// second call must still wait for the first, as it would in the paper's
+// per-session dispatcher queue.
+func TestDispatchSerialSessionArrivalOrder(t *testing.T) {
+	srv, path, objs := startDispatchServer(t,
+		map[string]string{"rec1": "recorder", "rec2": "recorder"}, WithPerObjectDispatch(false))
+	rlog := objs["rec1"].(*recorder).log
+	depth := func(n uint64) func() bool {
+		return func() bool { return srv.Metrics().Dispatch.QueueDepth == n }
+	}
+	x, y := dialClient(t, path), dialClient(t, path)
+	xr1, err := x.NamedObject("rec1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	yr1, err := y.NamedObject("rec1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	yr2, err := y.NamedObject("rec2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	call := func(obj *Remote, method, s string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := obj.Call(method, s); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	call(xr1, "Await", "x-hold")
+	waitFor(t, 3*time.Second, "x's call to start", depth(1))
+	call(yr1, "Note", "y-first")
+	waitFor(t, 3*time.Second, "y's first call to queue", depth(2))
+	call(yr2, "Note", "y-second")
+	waitFor(t, 3*time.Second, "y's second call to queue", depth(3))
+	close(rlog.release)
+	wg.Wait()
+
+	got := rlog.snapshot()
+	want := []string{"x-hold", "y-first", "y-second"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("execution order %v, want %v", got, want)
+	}
+}
+
+// TestDispatchSerialOneHandlerAfterYield: under the serial policy a
+// handler that yields for an upcall hands the one worker slot to a
+// replacement, and on resuming waits for that slot again, so handlers
+// from concurrent sessions never run unblocked at the same time.
+func TestDispatchSerialOneHandlerAfterYield(t *testing.T) {
+	srv, path, objs := startDispatchServer(t, map[string]string{"b": "bouncer"}, WithPerObjectDispatch(false))
+	act := objs["b"].(*bouncer).act // shared by every bouncer of the server
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		c := dialClient(t, path)
+		b, err := c.New("bouncer", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Call("Register", func() int64 {
+			time.Sleep(100 * time.Microsecond)
+			return 1
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 30; j++ {
+				var v int64
+				if err := b.CallInto("Bounce", []any{&v}); err != nil || v != 1 {
+					t.Errorf("Bounce = %d, %v", v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	d := srv.Metrics().Dispatch
+	if d.WorkerStalls == 0 {
+		t.Fatal("no handler yielded; the test exercised nothing")
+	}
+	if m := act.max.Load(); m != 1 {
+		t.Errorf("%d handlers ran unblocked at once, want 1", m)
+	}
+	if d.Parallelism != 1 {
+		t.Errorf("Dispatch.Parallelism = %d, want 1", d.Parallelism)
+	}
 }
 
 // TestDispatchMetricsReportEngine: the snapshot names the engine in play

@@ -194,13 +194,9 @@ type LinkStats struct {
 
 // --- reply wait table -------------------------------------------------------
 
-// waiter is one armed reply slot. Exactly one of ev/ch is set, depending
-// on whether the waiter is a cooperative task or a plain goroutine: a task
-// that parked on a Go channel while holding the scheduler's run token
-// would freeze every task, so tasks Block on an event instead.
+// waiter is one armed reply slot. Its buffered channel stays open for the
+// slot's lifetime, so slots are pooled and reused.
 type waiter struct {
-	cur  *task.Task
-	ev   *task.Event
 	ch   chan *wire.Msg
 	msg  *wire.Msg
 	done bool
@@ -222,17 +218,12 @@ type waitTable struct {
 	pool sync.Pool // recycled goroutine waiters, each with an open buffered channel
 }
 
-// arm creates the reply slot for seq, choosing the wait strategy by
-// caller context. Goroutine waiters (the common case: every client call
-// outside a dispatch task) are pooled together with their reply channel,
-// so a synchronous call allocates nothing here in steady state.
+// arm creates the reply slot for seq. Waiters are pooled together with
+// their reply channel, so a synchronous call allocates nothing here in
+// steady state.
 func (t *waitTable) arm(seq uint64) *waiter {
-	var w *waiter
-	if cur := task.Current(); cur != nil {
-		w = &waiter{cur: cur, ev: &task.Event{}}
-	} else if v, _ := t.pool.Get().(*waiter); v != nil {
-		w = v
-	} else {
+	w, _ := t.pool.Get().(*waiter)
+	if w == nil {
 		w = &waiter{ch: make(chan *wire.Msg, 1)}
 	}
 	t.mu.Lock()
@@ -244,8 +235,8 @@ func (t *waitTable) arm(seq uint64) *waiter {
 	return w
 }
 
-// disarm retires the slot for seq. Goroutine waiters always return to the
-// pool: cancellation delivers a nil over the (still open) channel rather
+// disarm retires the slot for seq. Waiters always return to the pool:
+// cancellation delivers a nil over the (still open) channel rather
 // than closing it, so a cancelled slot is as reusable as a completed one.
 // A delivery the waiter never consumed (a reply racing a timeout) is
 // drained and released before the slot is reused.
@@ -254,8 +245,8 @@ func (t *waitTable) disarm(seq uint64) {
 	w := t.m[seq]
 	delete(t.m, seq)
 	t.mu.Unlock()
-	if w == nil || w.ch == nil {
-		return // task waiter: nothing pooled
+	if w == nil {
+		return
 	}
 	select {
 	case msg := <-w.ch:
@@ -309,14 +300,10 @@ func completeWaiterLocked(w *waiter, msg *wire.Msg) {
 	}
 	w.done = true
 	w.msg = msg
-	if w.ev != nil {
-		w.ev.Signal()
-	} else if w.ch != nil {
-		// Cancellation sends nil instead of closing: the buffered channel
-		// stays usable, so the waiter can be pooled again after disarm.
-		// The done guard above makes a second send impossible.
-		w.ch <- msg
-	}
+	// Cancellation sends nil instead of closing: the buffered channel stays
+	// usable, so the waiter can be pooled again after disarm. The done
+	// guard above makes a second send impossible.
+	w.ch <- msg
 }
 
 // --- channels ---------------------------------------------------------------
@@ -360,10 +347,13 @@ func (e *endpoint) upcallConn() *wire.Conn {
 // --- waiting for replies ----------------------------------------------------
 
 // await waits for the reply to seq armed as w, bounded by the endpoint's
-// callTimeout and an optional context. The caller disarms the slot.
+// callTimeout and an optional context. The caller disarms the slot. A
+// task waits with the run token released: parked on a Go channel while
+// holding it, it would freeze every task.
 func (e *endpoint) await(ctx context.Context, seq uint64, w *waiter) (*wire.Msg, error) {
-	if w.cur != nil {
-		return e.awaitTask(ctx, seq, w)
+	if cur := task.Current(); cur != nil {
+		cur.Release()
+		defer cur.Acquire()
 	}
 	var timeout <-chan time.Time
 	if e.callTimeout > 0 {
@@ -404,44 +394,6 @@ func (e *endpoint) await(ctx context.Context, seq uint64, w *waiter) (*wire.Msg,
 		return nil, ctx.Err()
 	case <-e.closedCh:
 		e.waits.deliver(seq, nil, true)
-		return nil, e.closedErr()
-	}
-}
-
-// awaitTask is await for cooperative tasks: instead of parking on a Go
-// channel (which would freeze the scheduler — the waiter holds the run
-// token), the task Blocks on the slot's event, releasing the token.
-// Blocking also fires the task's block hook, so a dispatcher that awaits a
-// reply mid-batch automatically hands dispatch duty to a fresh task.
-// Timeout and cancellation are translated into event signals.
-func (e *endpoint) awaitTask(ctx context.Context, seq uint64, w *waiter) (*wire.Msg, error) {
-	var timedOut atomic.Bool
-	if e.callTimeout > 0 {
-		t := time.AfterFunc(e.callTimeout, func() {
-			timedOut.Store(true)
-			e.waits.deliver(seq, nil, true)
-		})
-		defer t.Stop()
-	}
-	var ctxDone atomic.Bool
-	if ctx != nil && ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			ctxDone.Store(true)
-			e.waits.deliver(seq, nil, true)
-		})
-		defer stop()
-	}
-	w.cur.Block(w.ev)
-	if msg := e.waits.take(w); msg != nil {
-		return msg, nil
-	}
-	switch {
-	case ctxDone.Load():
-		return nil, ctx.Err()
-	case timedOut.Load():
-		e.link.timeouts.Add(1)
-		return nil, fmt.Errorf("clam: call %d after %v: %w", seq, e.callTimeout, ErrCallTimeout)
-	default:
 		return nil, e.closedErr()
 	}
 }

@@ -9,7 +9,8 @@ import (
 	"clam/internal/wire"
 )
 
-// The sharded, per-object-serialized dispatch executor.
+// The server's dispatch executor: the one engine that runs every session's
+// incoming calls.
 //
 // The paper's dispatcher is one task per session draining a FIFO queue
 // (§4.3): correct, but calls to two independent objects owned by the same
@@ -49,17 +50,24 @@ import (
 // Messages whose dependencies are settled execute on a bounded pool of
 // worker goroutines — real parallelism, unlike the run-token scheduler.
 // When a handler blocks for the wire (a distributed upcall waiting on the
-// client task, a forwarded call waiting on a lower server), it yields: the
+// client task, a forwarded call waiting on a lower server) or in
+// task.Wait (a loaded class waiting on its own event), it yields: the
 // item completes for ordering purposes — which is what keeps the paper's
-// reentrant call-during-upcall pattern working, exactly as the serial
-// dispatcher's hand-off did — and the pool grows a replacement worker so
-// the session keeps draining. Replies still coalesce: each session counts
-// its in-flight items and flushes its buffered replies when the count
-// drains to zero, so a burst's replies ride one kernel write as before
-// (wire.Conn already serializes writers under its own lock).
+// reentrant call-during-upcall pattern working, as the paper's dispatcher
+// hand-off did — and the pool grows a replacement worker so the session
+// keeps draining. Replies still coalesce: each session counts its
+// in-flight items and flushes its buffered replies when the count drains
+// to zero, so a burst's replies ride one kernel write (wire.Conn already
+// serializes writers under its own lock).
 //
-// The serial dispatcher is kept, verbatim, behind WithPerObjectDispatch
-// (false) as the ablation baseline.
+// The serial ablation (WithPerObjectDispatch(false)) is a policy on this
+// same engine that reproduces the paper's dispatcher: every call chains on
+// its session's previous call (the async edge above, taken by sync calls
+// too), so each session drains in arrival order, and the pool is one
+// worker, so one handler runs at a time. A handler that blocks yields as
+// above, which is the paper's hand-off of dispatch duty to a fresh task;
+// when its wait is over it waits for the one slot again (resume), as the
+// paper's task re-acquires the run token after Block.
 
 // itemKind classifies one queued message's ordering behaviour.
 type itemKind uint8
@@ -79,11 +87,10 @@ const (
 // All fields except sess/msg (set before publication) are guarded by the
 // executor's mutex.
 type dispatchItem struct {
-	sess  *session
-	msg   *wire.Msg
-	lane  uint64 // target object id, for itemCall
-	kind  itemKind
-	async bool // itemCall with seq 0: chains on the session's async order
+	sess *session
+	msg  *wire.Msg
+	lane uint64 // target object id, for itemCall
+	kind itemKind
 
 	deps    int             // incomplete items this one runs after
 	waiters []*dispatchItem // items running after this one
@@ -116,9 +123,10 @@ func peekCallMeta(msg *wire.Msg) (seq, budgetUS uint64, ok bool) {
 	return binary.BigEndian.Uint64(b[4:12]), binary.BigEndian.Uint64(b[12:20]), true
 }
 
-// itemQueue is the runnable FIFO: append-push, head-index pop with the
-// same compaction discipline as msgQueue, so a busy server does not grow a
-// dead prefix of drained slots.
+// itemQueue is the runnable FIFO: append-push, head-index pop. Popping
+// nils the drained slot, so a drained item (and the frame it carries) is
+// not kept reachable through the backing array, and a queue that never
+// fully drains compacts instead of growing a dead prefix.
 type itemQueue struct {
 	buf  []*dispatchItem
 	head int
@@ -156,10 +164,12 @@ func (q *itemQueue) pop() *dispatchItem {
 // dedups objects server-wide, so two sessions can name the same object.
 type executor struct {
 	srv     *Server
-	workers int // target count of unblocked workers
+	workers int  // target count of unblocked workers
+	serial  bool // the serial ablation: every call chains on its session
 
 	mu         sync.Mutex
 	cond       sync.Cond // signalled when runnable gains an item
+	slot       sync.Cond // serial policy: signalled when a handler stops running
 	closed     bool
 	runnable   itemQueue
 	frontier   map[uint64]*dispatchItem   // object id → latest incomplete item
@@ -169,29 +179,31 @@ type executor struct {
 	alive   int // live worker goroutines (running, parked or yielded)
 	parked  int // workers waiting in cond.Wait
 	blocked int // workers inside a yielded (blocked) handler
+	waking  int // serial policy: resumed handlers waiting in slot.Wait
 
-	running int    // items being executed right now
-	peak    int    // high-water mark of running
+	running int    // items being executed right now (blocked ones too)
+	peak    int    // high-water mark of handlers running unblocked
 	stalls  uint64 // handler blocks that released a worker slot
 
-	// bound maps worker goroutine id → its current item, the same
-	// discipline as the task package's current-task registry; boundN gates
-	// the stack parse off every path when no executor work is live.
-	bound  sync.Map
+	// boundN counts workers with an item bound in their task.Cell; it
+	// gates the goroutine-id lookup off every path when no executor work
+	// is live.
 	boundN atomic.Int64
 
 	pool sync.Pool // recycled dispatchItems
 	wg   sync.WaitGroup
 }
 
-func newExecutor(srv *Server, workers int) *executor {
+func newExecutor(srv *Server, workers int, serial bool) *executor {
 	x := &executor{
 		srv:      srv,
 		workers:  workers,
+		serial:   serial,
 		frontier: make(map[uint64]*dispatchItem),
 		items:    make(map[*dispatchItem]struct{}),
 	}
 	x.cond.L = &x.mu
+	x.slot.L = &x.mu
 	return x
 }
 
@@ -214,7 +226,7 @@ func (x *executor) enqueue(sess *session, msg *wire.Msg) {
 	kind, lane, async := classifyMsg(msg)
 	it := x.getItem()
 	it.sess, it.msg = sess, msg
-	it.kind, it.lane, it.async = kind, lane, async
+	it.kind, it.lane = kind, lane
 	sess.execActive.Add(1)
 
 	x.mu.Lock()
@@ -242,7 +254,9 @@ func (x *executor) enqueue(sess *session, msg *wire.Msg) {
 		addDep(sess.execBarrier)
 		addDep(x.lastGlobal)
 		x.frontier[lane] = it
-		if async {
+		// Later calls chain on this one: asyncs (§3.4), and every call in
+		// the serial policy.
+		if async || x.serial {
 			sess.execLastAsync = it
 		}
 	case itemSessionBarrier:
@@ -331,8 +345,8 @@ func (x *executor) completeLocked(it *dispatchItem) {
 // objects genuinely run in parallel.
 func (x *executor) worker() {
 	defer x.wg.Done()
-	gid := task.GoID()
-	defer x.bound.Delete(gid)
+	cell := task.NewCell(x.handOff)
+	defer cell.Drop()
 	x.mu.Lock()
 	for {
 		if x.closed {
@@ -340,13 +354,19 @@ func (x *executor) worker() {
 			x.mu.Unlock()
 			return
 		}
-		it := x.runnable.pop()
+		var it *dispatchItem
+		if !x.serial || x.running-x.blocked < x.workers {
+			// The serial policy runs one handler at a time: while a
+			// resumed handler runs (or waits to), the queue is left to it.
+			it = x.runnable.pop()
+		}
 		if it == nil {
 			if x.alive-x.blocked > x.workers {
 				// A yielded handler resumed, putting the pool over target:
-				// shed this worker now that the queue is empty. (Shedding
-				// only on an empty queue means a surplus worker can run a
-				// transient extra item, but can never strand one.)
+				// shed this worker. (Per-object dispatch sheds only on an
+				// empty queue, so a surplus worker can run a transient
+				// extra item but can never strand one; the serial policy
+				// leaves queued items to the resumed handler's worker.)
 				x.alive--
 				x.mu.Unlock()
 				return
@@ -359,16 +379,14 @@ func (x *executor) worker() {
 		}
 		it.running = true
 		x.running++
-		if x.running > x.peak {
-			x.peak = x.running
-		}
+		x.notePeakLocked()
 		x.mu.Unlock()
 
-		x.bound.Store(gid, it)
+		cell.Set(it)
 		x.boundN.Add(1)
 		it.sess.execMsg(it.msg) // releases the message
 		it.msg = nil
-		x.bound.Store(gid, (*dispatchItem)(nil))
+		cell.Set(nil)
 		x.boundN.Add(-1)
 
 		x.finish(it)
@@ -384,12 +402,12 @@ func (x *executor) finish(it *dispatchItem) {
 	x.running--
 	yielded := it.yielded
 	x.completeLocked(it)
+	x.freeSlotLocked()
 	x.mu.Unlock()
 
 	if yielded {
 		// The session's active count already dropped at yield, so the
-		// reply this handler buffered after resuming needs its own flush —
-		// the same rule as the serial dispatcher's handed-off task.
+		// reply this handler buffered after resuming needs its own flush.
 		sess.flushReplies()
 	} else if sess.execActive.Add(-1) == 0 {
 		sess.flushReplies()
@@ -397,33 +415,58 @@ func (x *executor) finish(it *dispatchItem) {
 	x.putItem(it)
 }
 
-// currentItem resolves the item the calling goroutine is executing, or nil
-// when called outside executor work (serial mode, client goroutines,
-// server-side tasks). The atomic gate keeps the stack parse off every
-// path while no executor handler is live.
+// currentItem resolves the item the calling goroutine is executing for
+// this executor, or nil when called outside its work (client goroutines,
+// server-side tasks, another in-process server's workers). The atomic
+// gate keeps the stack parse off every path while no handler is live.
 func (x *executor) currentItem() *dispatchItem {
-	if x == nil || x.boundN.Load() == 0 {
+	if x.boundN.Load() == 0 {
 		return nil
 	}
-	if v, ok := x.bound.Load(task.GoID()); ok {
-		if it, _ := v.(*dispatchItem); it != nil {
-			return it
-		}
+	if it := task.Bound[dispatchItem](); it != nil && it.sess.srv.exec == x {
+		return it
 	}
 	return nil
+}
+
+// notePeakLocked records the number of handlers running unblocked, for
+// Dispatch.Parallelism; x.mu must be held.
+func (x *executor) notePeakLocked() {
+	if n := x.running - x.blocked - x.waking; n > x.peak {
+		x.peak = n
+	}
+}
+
+// freeSlotLocked wakes resumed handlers waiting for the serial policy's one
+// slot after a handler finished or blocked; x.mu must be held.
+func (x *executor) freeSlotLocked() {
+	if x.waking > 0 {
+		x.slot.Broadcast()
+	}
 }
 
 // yieldCurrent is the executor's hand-off: a handler about to block for
 // the wire (distributed upcall, forwarded synchronous call, relayed Sync)
 // completes its item for ordering purposes and releases its worker slot so
 // a replacement can keep the lanes draining. Returns the item to pass to
-// resume, or nil when the caller is not an executor worker. Safe on a nil
-// executor (serial mode).
+// resume, or nil when the caller is not one of this executor's workers.
 func (x *executor) yieldCurrent() *dispatchItem {
 	it := x.currentItem()
-	if it == nil {
-		return nil
+	if it != nil {
+		x.yield(it)
 	}
+	return it
+}
+
+// handOff is the workers' task.Cell hand-off: a handler that blocks in
+// task.Wait (a loaded class waiting on its own event, such as the window
+// server's InjectMouseWait) yields exactly as a wire wait does.
+func (x *executor) handOff(it *dispatchItem) func() {
+	x.yield(it)
+	return func() { x.resume(it) }
+}
+
+func (x *executor) yield(it *dispatchItem) {
 	first := false
 	x.mu.Lock()
 	x.blocked++
@@ -437,6 +480,7 @@ func (x *executor) yieldCurrent() *dispatchItem {
 		// This yield freed one slot; hand it to a queued item.
 		x.ensureWorkerLocked()
 	}
+	x.freeSlotLocked()
 	x.mu.Unlock()
 	if first && it.sess.execActive.Add(-1) == 0 {
 		// Nothing else in flight for this session: push buffered replies
@@ -444,18 +488,27 @@ func (x *executor) yieldCurrent() *dispatchItem {
 		// waiting on one of them.
 		it.sess.flushReplies()
 	}
-	return it
 }
 
-// resume reverses yieldCurrent's worker accounting once the blocking
-// operation is over; the surplus worker (this one, or an idle one) sheds
-// itself between items. Safe on a nil executor or nil item.
+// resume reverses yield's worker accounting once the blocking operation
+// is over. Under per-object dispatch the surplus worker (this one, or an
+// idle one) sheds itself between items. Under the serial policy the
+// handler first waits until no other handler runs unblocked, as the
+// paper's task re-acquires the run token after Block. Safe on a nil item.
 func (x *executor) resume(it *dispatchItem) {
-	if x == nil || it == nil {
+	if it == nil {
 		return
 	}
 	x.mu.Lock()
 	x.blocked--
+	if x.serial {
+		x.waking++
+		for !x.closed && x.running-x.blocked-x.waking >= x.workers {
+			x.slot.Wait()
+		}
+		x.waking--
+	}
+	x.notePeakLocked()
 	x.mu.Unlock()
 }
 
@@ -463,9 +516,6 @@ func (x *executor) resume(it *dispatchItem) {
 // out. Items mid-handler finish on their own; their sessions are already
 // shut down, so late replies fail harmlessly at the wire.
 func (x *executor) close() {
-	if x == nil {
-		return
-	}
 	var drop []*dispatchItem
 	x.mu.Lock()
 	x.closed = true
@@ -481,6 +531,7 @@ func (x *executor) close() {
 	}
 	x.parked = 0 // every parked worker wakes to exit; reservations are moot
 	x.cond.Broadcast()
+	x.slot.Broadcast()
 	x.mu.Unlock()
 	for _, it := range drop {
 		it.msg.Release()
@@ -491,14 +542,11 @@ func (x *executor) close() {
 
 // stats snapshots the executor counters for MetricsSnapshot.
 func (x *executor) stats() DispatchStats {
-	if x == nil {
-		return DispatchStats{Workers: 1}
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return DispatchStats{
 		Workers:      x.workers,
-		PerObject:    true,
+		PerObject:    !x.serial,
 		Parallelism:  uint64(x.peak),
 		QueueDepth:   uint64(len(x.items)),
 		WorkerStalls: x.stalls,

@@ -301,12 +301,15 @@ func TestChaosSeveredUpcallStreamEvictsAndUnblocks(t *testing.T) {
 	waitFor(t, 3*time.Second, "evicted session to drop", func() bool {
 		return srv.SessionCount() == 0
 	})
+	// The failed upcall is counted when the server-side handler's wait
+	// returns, which nothing orders before the session's removal or the
+	// client's error (the eviction closes the client's connection).
+	waitFor(t, 3*time.Second, "failed upcall to be counted", func() bool {
+		return srv.Metrics().UpcallFailures >= 1
+	})
 	m := srv.Metrics()
 	if m.Evictions < 1 {
 		t.Errorf("Evictions = %d, want >= 1", m.Evictions)
-	}
-	if m.UpcallFailures < 1 {
-		t.Errorf("UpcallFailures = %d, want >= 1", m.UpcallFailures)
 	}
 	if m.HeartbeatsSent == 0 {
 		t.Error("HeartbeatsSent = 0, want > 0")
@@ -443,6 +446,7 @@ func TestMetricsConcurrentCounting(t *testing.T) {
 	}
 	wg.Wait()
 	srv := &Server{metrics: m}
+	srv.exec = newExecutor(srv, 1, false)
 	snap := srv.Metrics()
 	if got := snap.Calls["counter.Add"]; got != workers*per {
 		t.Errorf("counter.Add = %d, want %d", got, workers*per)

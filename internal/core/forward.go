@@ -290,8 +290,7 @@ func (sess *session) execForward(dec *xdr.Stream, hdr *rpc.CallHeader, pr *Remot
 
 	// The relay waits a full round trip on the lower server; an executor
 	// worker releases its slot meanwhile so this session's other lanes keep
-	// draining (no-op under the serial dispatcher, whose block hook hands
-	// off the same way when callRetry's wait blocks the task).
+	// draining.
 	xit := srv.exec.yieldCurrent()
 	err = pr.c.callRetry(relayCtx, pr.h, hdr.Method, rets, args, false)
 	srv.exec.resume(xit)

@@ -208,13 +208,10 @@ func sortedIDs[V any](m map[uint64]*V) []uint64 {
 // resumeRPC/resumeUpcall path a live park uses.
 func newParkedSession(srv *Server, id uint64, ss *journal.SessionState) *session {
 	sess := &session{
-		id:       id,
-		srv:      srv,
-		upMax:    srv.maxClientUpcalls,
-		upFreeCh: make(chan struct{}, 1),
-	}
-	if srv.exec != nil {
-		sess.execItems = make(map[*dispatchItem]struct{})
+		id:        id,
+		srv:       srv,
+		upSlots:   make(chan struct{}, srv.maxClientUpcalls),
+		execItems: make(map[*dispatchItem]struct{}),
 	}
 	sess.token = ss.Token
 	sess.epoch = ss.Epoch

@@ -422,14 +422,18 @@ func (r *ResilienceStats) foldLink(lc *linkCounters, br *breaker) {
 	}
 }
 
-// DispatchStats describes the server's dispatch engine. Under the serial
-// ablation it reports {Workers: 1, PerObject: false} and zeros.
+// DispatchStats describes the server's dispatch executor. Under the serial
+// ablation it reports {Workers: 1, PerObject: false}; the counters below
+// are kept in both policies.
 type DispatchStats struct {
 	// Workers is the configured bound on simultaneously running handlers.
 	Workers int
-	// PerObject reports whether the per-object executor is active.
+	// PerObject reports the per-object policy; false under the serial
+	// ablation.
 	PerObject bool
-	// Parallelism is the high-water mark of handlers running at once.
+	// Parallelism is the high-water mark of handlers running at once;
+	// handlers blocked in a yield do not count, so the serial ablation
+	// never reports more than 1.
 	Parallelism uint64
 	// QueueDepth is the number of queued-or-running messages right now.
 	QueueDepth uint64

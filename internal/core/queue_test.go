@@ -12,20 +12,24 @@ import (
 // The dispatch queue used to drain with queue = queue[1:], which kept
 // every drained *wire.Msg reachable through the slice's backing array —
 // pinning message bodies (and, with pooling, keeping them from being
-// reused) until the whole array was collected. These tests pin the fix:
-// pop nils the drained slot and compacts a long-lived buffer.
+// reused) until the whole array was collected. These tests pin the fix on
+// the executor's runnable queue of messages (itemQueue): pop nils the
+// drained slot and compacts a long-lived buffer.
+
+// queued wraps a frame in the dispatch item the executor queues.
+func queued(m *wire.Msg) *dispatchItem { return &dispatchItem{msg: m} }
 
 func TestMsgQueuePopReleasesSlot(t *testing.T) {
-	var q msgQueue
+	var q itemQueue
 	msgs := []*wire.Msg{
 		{Type: wire.MsgCall, Seq: 1},
 		{Type: wire.MsgCall, Seq: 2},
 		{Type: wire.MsgCall, Seq: 3},
 	}
 	for _, m := range msgs {
-		q.push(m)
+		q.push(queued(m))
 	}
-	if got := q.pop(); got != msgs[0] {
+	if got := q.pop().msg; got != msgs[0] {
 		t.Fatalf("pop returned %+v, want first message", got)
 	}
 	// The drained head slot must not keep the message reachable.
@@ -35,7 +39,7 @@ func TestMsgQueuePopReleasesSlot(t *testing.T) {
 	if q.len() != 2 {
 		t.Fatalf("len = %d after one pop, want 2", q.len())
 	}
-	if got := q.pop(); got != msgs[1] {
+	if got := q.pop().msg; got != msgs[1] {
 		t.Fatalf("second pop returned %+v", got)
 	}
 	if q.buf[1] != nil {
@@ -44,9 +48,9 @@ func TestMsgQueuePopReleasesSlot(t *testing.T) {
 }
 
 func TestMsgQueueDrainResets(t *testing.T) {
-	var q msgQueue
+	var q itemQueue
 	for seq := uint64(1); seq <= 5; seq++ {
-		q.push(&wire.Msg{Type: wire.MsgCall, Seq: seq})
+		q.push(queued(&wire.Msg{Type: wire.MsgCall, Seq: seq}))
 	}
 	for i := 0; i < 5; i++ {
 		if q.pop() == nil {
@@ -60,9 +64,9 @@ func TestMsgQueueDrainResets(t *testing.T) {
 		t.Fatal("pop on empty queue returned a message")
 	}
 	// Reuse after full drain keeps FIFO order.
-	q.push(&wire.Msg{Seq: 10})
-	q.push(&wire.Msg{Seq: 11})
-	if got := q.pop(); got.Seq != 10 {
+	q.push(queued(&wire.Msg{Seq: 10}))
+	q.push(queued(&wire.Msg{Seq: 11}))
+	if got := q.pop().msg; got.Seq != 10 {
 		t.Fatalf("pop after reset returned seq %d, want 10", got.Seq)
 	}
 }
@@ -71,11 +75,11 @@ func TestMsgQueueDrainResets(t *testing.T) {
 // grow a dead prefix: compaction bounds the backing array and nils the
 // vacated tail slots.
 func TestMsgQueueCompactionBoundsDeadPrefix(t *testing.T) {
-	var q msgQueue
+	var q itemQueue
 	next := uint64(0)
 	for i := 0; i < 1000; i++ {
-		q.push(&wire.Msg{Type: wire.MsgCall, Seq: next})
-		q.push(&wire.Msg{Type: wire.MsgCall, Seq: next + 1})
+		q.push(queued(&wire.Msg{Type: wire.MsgCall, Seq: next}))
+		q.push(queued(&wire.Msg{Type: wire.MsgCall, Seq: next + 1}))
 		next += 2
 		got := q.pop()
 		if got == nil {
@@ -93,7 +97,7 @@ func TestMsgQueueCompactionBoundsDeadPrefix(t *testing.T) {
 	// Everything still drains in FIFO order.
 	want := uint64(1000)
 	for q.len() > 0 {
-		got := q.pop()
+		got := q.pop().msg
 		if got.Seq != want {
 			t.Fatalf("out of order: got seq %d, want %d", got.Seq, want)
 		}
@@ -106,18 +110,18 @@ func TestMsgQueueCompactionBoundsDeadPrefix(t *testing.T) {
 // directly: head rewound to zero, live messages intact and in order, and
 // every vacated tail slot nil so the slide itself cannot re-pin frames.
 func TestMsgQueueHeadSlideInvariants(t *testing.T) {
-	var q msgQueue
+	var q itemQueue
 	const total = 129
-	msgs := make([]*wire.Msg, total)
-	for i := range msgs {
-		msgs[i] = &wire.Msg{Type: wire.MsgCall, Seq: uint64(i)}
-		q.push(msgs[i])
+	items := make([]*dispatchItem, total)
+	for i := range items {
+		items[i] = queued(&wire.Msg{Type: wire.MsgCall, Seq: uint64(i)})
+		q.push(items[i])
 	}
 	// Pop to one past the threshold: the 65th pop leaves head=65 > 64 and
 	// 2*65 >= 129, triggering the slide.
 	for i := 0; i < 65; i++ {
-		if got := q.pop(); got != msgs[i] {
-			t.Fatalf("pop %d returned seq %d", i, got.Seq)
+		if got := q.pop(); got != items[i] {
+			t.Fatalf("pop %d returned seq %d", i, got.msg.Seq)
 		}
 	}
 	if q.head != 0 {
@@ -128,8 +132,8 @@ func TestMsgQueueHeadSlideInvariants(t *testing.T) {
 	}
 	// The slid-down prefix holds exactly the live tail, in order.
 	for i := 0; i < q.len(); i++ {
-		if q.buf[i] != msgs[65+i] {
-			t.Fatalf("slot %d holds seq %d, want %d", i, q.buf[i].Seq, 65+i)
+		if q.buf[i] != items[65+i] {
+			t.Fatalf("slot %d holds seq %d, want %d", i, q.buf[i].msg.Seq, 65+i)
 		}
 	}
 	// The vacated region between the new length and the old one is nil'd.
@@ -141,8 +145,8 @@ func TestMsgQueueHeadSlideInvariants(t *testing.T) {
 	}
 	// And the queue still drains FIFO to empty.
 	for want := 65; q.len() > 0; want++ {
-		if got := q.pop(); got != msgs[want] {
-			t.Fatalf("post-slide pop returned seq %d, want %d", got.Seq, want)
+		if got := q.pop(); got != items[want] {
+			t.Fatalf("post-slide pop returned seq %d, want %d", got.msg.Seq, want)
 		}
 	}
 }
@@ -152,13 +156,13 @@ func TestMsgQueueHeadSlideInvariants(t *testing.T) {
 // the queue (and its backing array) lives on. Finalizers on the popped
 // messages only run if the queue holds no hidden reference.
 func TestMsgQueuePoppedFramesCollectable(t *testing.T) {
-	q := &msgQueue{}
+	q := &itemQueue{}
 	const n = 8
 	var collected atomic.Int32
 	for i := 0; i < n; i++ {
 		m := &wire.Msg{Type: wire.MsgCall, Seq: uint64(i), Body: make([]byte, 1024)}
 		runtime.SetFinalizer(m, func(*wire.Msg) { collected.Add(1) })
-		q.push(m)
+		q.push(queued(m))
 	}
 	// Keep one message unpopped so the queue cannot take the full-drain
 	// reset shortcut; the popped ones must be unreachable via buf alone.
@@ -198,7 +202,7 @@ func TestMsgQueuePooledFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var q msgQueue
+	var q itemQueue
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -210,8 +214,8 @@ func TestMsgQueuePooledFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.push(m1)
-	popped := q.pop()
+	q.push(queued(m1))
+	popped := q.pop().msg
 	if popped != m1 {
 		t.Fatal("pop did not return the pushed frame")
 	}

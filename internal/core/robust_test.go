@@ -73,13 +73,15 @@ func TestClientSurvivesRandomUpcallBodies(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		rng := rand.New(rand.NewPCG(3, 9))
-		for {
+		// Each accepted connection (the client dials rpc and upcall
+		// channels) sprays from its own generator: a *rand.Rand is not
+		// safe for concurrent use.
+		for seed := uint64(3); ; seed++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(conn net.Conn) {
+			go func(conn net.Conn, rng *rand.Rand) {
 				wc := wire.NewConn(conn)
 				msg, err := wc.Recv()
 				if err != nil || msg.Type != wire.MsgHello {
@@ -104,7 +106,7 @@ func TestClientSurvivesRandomUpcallBodies(t *testing.T) {
 						break
 					}
 				}
-			}(conn)
+			}(conn, rand.New(rand.NewPCG(seed, 9)))
 		}
 	}()
 

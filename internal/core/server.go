@@ -80,8 +80,8 @@ type Server struct {
 	maxQueueDelay time.Duration
 	noShed        bool
 
-	// Per-object dispatch (executor.go). exec is nil when the serial
-	// dispatcher ablation is selected; every consumer branches on that.
+	// The dispatch executor (executor.go); serialDispatch selects its
+	// serial ablation policy.
 	dispatchWorkers int
 	serialDispatch  bool
 	exec            *executor
@@ -279,8 +279,9 @@ func (s *Server) shedExpired() bool { return !s.noShed }
 // most n handlers run simultaneously (blocked handlers — distributed
 // upcalls, forwarded calls — release their slot and do not count). The
 // default is max(2, GOMAXPROCS). Values < 1 are treated as 1; note that
-// one worker still differs from the serial ablation — ordering comes from
-// the dependency lanes, not from global serialization.
+// one worker still differs from the serial ablation — calls on distinct
+// objects may still run out of arrival order. The serial ablation fixes
+// the pool at one worker and ignores this option.
 func WithDispatchWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n < 1 {
@@ -290,12 +291,13 @@ func WithDispatchWorkers(n int) ServerOption {
 	}
 }
 
-// WithPerObjectDispatch selects the dispatch engine. On (the default),
-// incoming calls are serialized per target object and run concurrently
-// across objects on a bounded worker pool (executor.go). Off restores the
-// original one-dispatcher-task-per-session engine — the ablation baseline,
-// which also globally serializes handler execution under the scheduler's
-// run token.
+// WithPerObjectDispatch selects the executor's ordering policy. On (the
+// default), incoming calls are serialized per target object and run
+// concurrently across objects on a bounded worker pool (executor.go). Off
+// is the serial ablation, the paper's one-dispatcher-per-session
+// discipline: each session's calls run in arrival order, on a pool of one
+// worker, so one handler runs at a time; a handler that blocks for the
+// wire (or in task.Wait) hands the slot on and takes it back afterwards.
 func WithPerObjectDispatch(on bool) ServerOption {
 	return func(s *Server) { s.serialDispatch = !on }
 }
@@ -350,15 +352,13 @@ func NewServer(lib *dynload.Library, opts ...ServerOption) *Server {
 	if s.sched == nil {
 		s.sched = task.New()
 	}
-	if !s.serialDispatch {
-		if s.dispatchWorkers == 0 {
-			s.dispatchWorkers = runtime.GOMAXPROCS(0)
-			if s.dispatchWorkers < 2 {
-				s.dispatchWorkers = 2
-			}
-		}
-		s.exec = newExecutor(s, s.dispatchWorkers)
+	switch {
+	case s.serialDispatch:
+		s.dispatchWorkers = 1
+	case s.dispatchWorkers == 0:
+		s.dispatchWorkers = max(2, runtime.GOMAXPROCS(0))
 	}
+	s.exec = newExecutor(s, s.dispatchWorkers, s.serialDispatch)
 	s.openJournal()
 	return s
 }

@@ -21,11 +21,11 @@ import (
 // session is the server side of one client connection pair: the
 // upward-facing role wrapper over the shared endpoint engine. It owns the
 // RPC channel it was created with and the upcall channel that attaches
-// later (§4.4). Incoming call batches are executed in order by a
-// dispatcher task; when a handler blocks in a distributed upcall,
-// dispatching is handed to a fresh task so the server keeps serving — in
-// particular the reentrant case where the client's upcall handler calls
-// back into the server. The embedded endpoint carries the seq/wait table
+// later (§4.4). Incoming call batches are executed by the server's
+// dispatch executor (executor.go); when a handler blocks in a distributed
+// upcall it yields its place, so the server keeps serving — in particular
+// the reentrant case where the client's upcall handler calls back into
+// the server. The embedded endpoint carries the seq/wait table
 // (here numbering upcalls), reply coalescing, heartbeats and teardown;
 // the session adds dispatch, the upcall gate, and the load protocol.
 type session struct {
@@ -39,23 +39,11 @@ type session struct {
 	// limitation simplifies our first implementation and may be relaxed
 	// in future designs" (§4.4). The bound defaults to 1 (the paper's
 	// design) and is raised by core.WithMaxClientUpcalls — the paper's
-	// anticipated relaxation. It is NOT a plain mutex: a task that
-	// blocked waiting for the gate while holding the scheduler's run
-	// token would freeze every task, including the one that will release
-	// the gate. Task waiters therefore Block on upFree (releasing the
-	// token); plain goroutines wait on upFreeCh.
-	gateMu   sync.Mutex // guards upBusy
-	upBusy   int
-	upMax    int
-	upFree   task.Event
-	upFreeCh chan struct{}
-
-	// call-batch queue drained by dispatcher tasks. owner is the task
-	// currently holding dispatch duty; both fields are guarded by qMu.
-	qMu         sync.Mutex
-	queue       msgQueue
-	dispatching bool
-	owner       *task.Task
+	// anticipated relaxation. Each active upcall holds one buffered slot.
+	// A task waiting for a slot releases the scheduler's run token first:
+	// holding it, it would freeze every task, including the one that will
+	// free the slot.
+	upSlots chan struct{}
 
 	// slowFails counts consecutive failed upcalls for the slow-consumer
 	// guard; evicting makes eviction once-only.
@@ -69,13 +57,13 @@ type session struct {
 	// and members receiving that relay stop (mesh.go).
 	fromPeer atomic.Bool
 
-	// Per-object executor bookkeeping (executor.go); all three references
-	// are guarded by the server executor's mutex, never qMu. execActive
-	// counts this session's in-flight items for reply coalescing: the last
-	// finisher flushes the burst's buffered replies in one write.
+	// Dispatch executor bookkeeping (executor.go); all three references
+	// are guarded by the server executor's mutex. execActive counts this
+	// session's in-flight items for reply coalescing: the last finisher
+	// flushes the burst's buffered replies in one write.
 	execItems     map[*dispatchItem]struct{}
 	execBarrier   *dispatchItem // latest incomplete MsgLoad/MsgSync
-	execLastAsync *dispatchItem // latest incomplete async single call
+	execLastAsync *dispatchItem // latest incomplete async call (any call, in the serial policy)
 	execActive    atomic.Int64
 
 	// relay is the ruc.Caller identity under which forwarded procedure
@@ -202,13 +190,10 @@ func (sess *session) unregisterLive(seq uint64) {
 
 func newSession(srv *Server, id uint64, rpcConn *wire.Conn) *session {
 	sess := &session{
-		id:       id,
-		srv:      srv,
-		upMax:    srv.maxClientUpcalls,
-		upFreeCh: make(chan struct{}, 1),
-	}
-	if srv.exec != nil {
-		sess.execItems = make(map[*dispatchItem]struct{})
+		id:        id,
+		srv:       srv,
+		upSlots:   make(chan struct{}, srv.maxClientUpcalls),
+		execItems: make(map[*dispatchItem]struct{}),
 	}
 	if srv.resumeWindow > 0 {
 		sess.token = mintToken()
@@ -232,72 +217,28 @@ func newSession(srv *Server, id uint64, rpcConn *wire.Conn) *session {
 	return sess
 }
 
-// acquireUpcallGate claims an active-upcall slot, waiting in a token-safe
-// way. It returns false if the session closed first.
-func (sess *session) acquireUpcallGate(cur *task.Task) bool {
-	// One reusable timer for the goroutine-waiter branch: a contended gate
-	// spins here many times, and a fresh time.After per spin would leave a
-	// garbage timer behind each pass.
-	var gateTimer *time.Timer
-	defer func() {
-		if gateTimer != nil {
-			gateTimer.Stop()
-		}
-	}()
-	for {
-		sess.gateMu.Lock()
-		if sess.upBusy < sess.upMax {
-			sess.upBusy++
-			sess.gateMu.Unlock()
-			return true
-		}
-		sess.gateMu.Unlock()
-		select {
-		case <-sess.closedCh:
-			return false
-		default:
-		}
-		if cur != nil {
-			// Hand off dispatch duty first: the gate holder may need a
-			// fresh dispatcher (reentrant client call) to finish.
-			sess.releaseDispatch()
-			cur.Block(&sess.upFree)
-		} else {
-			if gateTimer == nil {
-				gateTimer = time.NewTimer(50 * time.Millisecond)
-			} else {
-				gateTimer.Reset(50 * time.Millisecond)
-			}
-			select {
-			case <-sess.upFreeCh:
-			case <-sess.closedCh:
-				return false
-			case <-gateTimer.C:
-				// Re-check: the release signal may have gone to a task.
-			}
-			if !gateTimer.Stop() {
-				select {
-				case <-gateTimer.C:
-				default:
-				}
-			}
-		}
+// acquireUpcallGate claims an active-upcall slot. It returns false if
+// the session closed first.
+func (sess *session) acquireUpcallGate() bool {
+	select {
+	case sess.upSlots <- struct{}{}:
+		return true
+	default:
+	}
+	if cur := task.Current(); cur != nil {
+		cur.Release()
+		defer cur.Acquire()
+	}
+	select {
+	case sess.upSlots <- struct{}{}:
+		return true
+	case <-sess.closedCh:
+		return false
 	}
 }
 
-// releaseUpcallGate frees the slot and wakes one waiter of each kind.
-func (sess *session) releaseUpcallGate() {
-	sess.gateMu.Lock()
-	sess.upBusy--
-	sess.gateMu.Unlock()
-	// Signal is counting, so a release that precedes the next waiter's
-	// Block is not lost.
-	sess.upFree.Signal()
-	select {
-	case sess.upFreeCh <- struct{}{}:
-	default:
-	}
-}
+// releaseUpcallGate frees the slot.
+func (sess *session) releaseUpcallGate() { <-sess.upSlots }
 
 // attachUpcallConn binds the client's second channel. It may be attached
 // once.
@@ -485,13 +426,9 @@ func (sess *session) rpcReadLoop(conn *wire.Conn) {
 					sess.srv.metrics.pendingFrames.Add(1)
 				}
 			}
-			// The dispatcher owns the message now; it releases it after
+			// The executor owns the message now; it releases it after
 			// executing it.
-			if x := sess.srv.exec; x != nil {
-				x.enqueue(sess, msg)
-			} else {
-				sess.enqueue(msg)
-			}
+			sess.srv.exec.enqueue(sess, msg)
 		default:
 			if handled, stop := sess.demuxCommon(conn, msg); handled {
 				if stop {
@@ -592,109 +529,10 @@ func (sess *session) evict(reason string) {
 	sess.srv.dropSession(sess)
 }
 
-// --- dispatcher -----------------------------------------------------------
+// --- dispatch -------------------------------------------------------------
 
-// msgQueue is the dispatch queue: append-push, head-index pop. Popping
-// nils the drained slot — the old `queue = queue[1:]` drain kept every
-// drained *wire.Msg reachable through the backing array until the whole
-// array was dropped, pinning message bodies long after their calls
-// finished (and, with pooled frames, keeping them out of the pool's
-// reach for reuse accounting).
-type msgQueue struct {
-	buf  []*wire.Msg
-	head int
-}
-
-func (q *msgQueue) push(m *wire.Msg) { q.buf = append(q.buf, m) }
-
-func (q *msgQueue) len() int { return len(q.buf) - q.head }
-
-func (q *msgQueue) pop() *wire.Msg {
-	if q.head >= len(q.buf) {
-		return nil
-	}
-	m := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	switch {
-	case q.head == len(q.buf):
-		q.buf = q.buf[:0]
-		q.head = 0
-	case q.head > 64 && q.head*2 >= len(q.buf):
-		// Slide the live tail down so a long-lived queue does not grow a
-		// mostly-dead prefix.
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return m
-}
-
-func (sess *session) enqueue(msg *wire.Msg) {
-	sess.qMu.Lock()
-	sess.queue.push(msg)
-	spawn := !sess.dispatching
-	if spawn {
-		sess.dispatching = true
-	}
-	sess.qMu.Unlock()
-	if spawn {
-		if err := sess.srv.sched.Spawn(func(t *task.Task) { sess.dispatch(t) }); err != nil {
-			sess.qMu.Lock()
-			sess.dispatching = false
-			sess.qMu.Unlock()
-		}
-	}
-}
-
-// dispatch drains the session queue in order. Only one dispatcher runs at
-// a time, except across a distributed upcall: the blocking handler
-// releases dispatch duty first (see releaseDispatch), so a new dispatcher
-// may start while the old task waits for the client. Calls queued after a
-// blocked call therefore keep flowing, which is what makes the client's
-// reentrant call-during-upcall pattern (§4.2's sweep finale) work.
-func (sess *session) dispatch(t *task.Task) {
-	sess.qMu.Lock()
-	sess.owner = t
-	sess.qMu.Unlock()
-	for {
-		sess.qMu.Lock()
-		if sess.owner != t {
-			// Dispatch duty was released mid-batch (distributed upcall)
-			// and another task now drains the queue. This task may have
-			// buffered a reply after resuming (its call finished once the
-			// upcall returned), so it must flush on its way out.
-			sess.qMu.Unlock()
-			sess.flushReplies()
-			return
-		}
-		if sess.queue.len() == 0 {
-			sess.dispatching = false
-			sess.owner = nil
-			sess.qMu.Unlock()
-			// The burst is drained: push its buffered replies in one write.
-			sess.flushReplies()
-			return
-		}
-		msg := sess.queue.pop()
-		sess.qMu.Unlock()
-
-		// If the handler blocks for any reason — a distributed upcall, an
-		// event wait inside a loaded class, a forwarded call awaiting a
-		// lower server — dispatch duty moves to a fresh task so this
-		// session's queue keeps draining. That is what makes reentrant
-		// client calls during a blocked handler work.
-		t.SetBlockHook(func() { sess.releaseDispatch() })
-		sess.execMsg(msg)
-		t.SetBlockHook(nil)
-	}
-}
-
-// execMsg executes one queued message and releases it: the shared body of
-// the serial dispatcher loop and the per-object executor's workers.
+// execMsg executes one queued message and releases it; the executor's
+// workers call it.
 func (sess *session) execMsg(msg *wire.Msg) {
 	seq, typ := msg.Seq, msg.Type
 	switch msg.Type {
@@ -708,11 +546,9 @@ func (sess *session) execMsg(msg *wire.Msg) {
 		// forwarding hops too.
 		if sess.srv.hasPeerLinks() {
 			// Relaying waits on a peer server's round trip: release the
-			// worker slot meanwhile. Under the serial dispatcher the block
-			// hook performs the same hand-off; yieldCurrent is a no-op there.
-			// A Sync that itself arrived over a mesh link relays only down
-			// chain links (acyclic), never back across the mesh — see the
-			// fromPeer field.
+			// worker slot meanwhile. A Sync that itself arrived over a mesh
+			// link relays only down chain links (acyclic), never back across
+			// the mesh — see the fromPeer field.
 			it := sess.srv.exec.yieldCurrent()
 			sess.srv.syncPeerLinks(sess.fromPeer.Load())
 			sess.srv.exec.resume(it)
@@ -724,39 +560,6 @@ func (sess *session) execMsg(msg *wire.Msg) {
 	// crash then loses would silently break at-most-once on replay.
 	if sess.srv.journal != nil && typ == wire.MsgCall && seq != 0 {
 		sess.noteExecuted(seq)
-	}
-}
-
-// releaseDispatch is called by the RUC caller just before blocking for a
-// client task: it gives up dispatch duty so queued (and future) calls are
-// executed by a fresh task while this one waits.
-func (sess *session) releaseDispatch() {
-	cur := task.Current()
-	if cur == nil {
-		return
-	}
-	sess.qMu.Lock()
-	if sess.owner != cur {
-		sess.qMu.Unlock()
-		return
-	}
-	sess.owner = nil
-	sess.dispatching = false
-	respawn := sess.queue.len() > 0
-	if respawn {
-		sess.dispatching = true
-	}
-	sess.qMu.Unlock()
-	// About to block: anything this dispatcher buffered must reach the
-	// client now, or a client task we are waiting on could itself be
-	// waiting on one of those replies.
-	sess.flushReplies()
-	if respawn {
-		if err := sess.srv.sched.Spawn(func(t *task.Task) { sess.dispatch(t) }); err != nil {
-			sess.qMu.Lock()
-			sess.dispatching = false
-			sess.qMu.Unlock()
-		}
 	}
 }
 
@@ -853,11 +656,7 @@ func (sess *session) admitCall(msg *wire.Msg) bool {
 	if !ok || seq == 0 {
 		return false
 	}
-	workers := 1
-	if x := sess.srv.exec; x != nil {
-		workers = x.workers
-	}
-	est := sess.srv.metrics.queueDelayEstimate(workers)
+	est := sess.srv.metrics.queueDelayEstimate(sess.srv.exec.workers)
 	over := est > int64(sess.srv.maxQueueDelay)
 	if !over && budgetUS != 0 && est >= int64(budgetUS)*int64(time.Microsecond) {
 		over = true
@@ -1231,12 +1030,11 @@ func (sess *session) Upcall(procID uint64, ft reflect.Type, args []reflect.Value
 	// An executor worker about to wait for a client task must release its
 	// slot before contending for the upcall gate: the slot's replacement
 	// keeps the session's lanes draining while the gate (bounded per §4.4)
-	// and then the wire are waited on. No-op under the serial dispatcher,
-	// whose block hook performs the equivalent hand-off.
+	// and then the wire are waited on — in the serial ablation too, where
+	// the replacement is what runs a reentrant call from the client task.
 	xit := sess.srv.exec.yieldCurrent()
 	defer sess.srv.exec.resume(xit)
-	cur := task.Current()
-	if !sess.acquireUpcallGate(cur) {
+	if !sess.acquireUpcallGate() {
 		return nil, fmt.Errorf("clam: session %d closed before upcall", sess.id)
 	}
 	defer sess.releaseUpcallGate()
@@ -1277,12 +1075,6 @@ func (sess *session) Upcall(procID uint64, ft reflect.Type, args []reflect.Value
 		return nil, fmt.Errorf("clam: sending upcall: %w", err)
 	}
 
-	if cur != nil {
-		// Hand off dispatch duty so this session's queue keeps draining
-		// while we wait for the client task (await's Block would fire the
-		// block hook anyway; releasing eagerly keeps the handoff explicit).
-		sess.releaseDispatch()
-	}
 	reply, werr := sess.await(nil, seq, w)
 	if werr != nil {
 		if errors.Is(werr, ErrCallTimeout) {

@@ -8,23 +8,95 @@ import (
 	"sync/atomic"
 )
 
-// This file lets code discover the task it is running under. The paper's
+// This file lets code discover the work it is running under. The paper's
 // RUC upcall handler blocks "the server task" while the client task is
 // active (§4.3); the handler is invoked through an ordinary procedure
 // pointer, so it has no task argument and must find the current task
 // implicitly — on the VAX that is the thread package's current-thread
-// global, here it is a goroutine-id registry maintained while a task's
-// function runs.
+// global, here it is a goroutine-id registry of per-goroutine cells. The
+// server's dispatch executor binds its work items to its worker goroutines
+// through the same registry.
 
-var currentTasks sync.Map // goroutine id (uint64) → *taskCell
+// registry maps a goroutine id (uint64) to that goroutine's *Cell[T]. A
+// serving goroutine inserts its cell once and deletes it on exit; each
+// dispatch in between is one atomic store into the cell. (Storing the
+// bound value directly in the map would allocate an entry node per
+// overwrite on the current runtime's sync.Map — a per-dispatch allocation
+// on the hot path.)
+var registry sync.Map
 
-// taskCell is the mutable slot a goroutine's binding lives in. The map
-// stores one cell per goroutine, inserted once; per-dispatch bind/unbind
-// is an atomic store into the existing cell. (Storing the task directly
-// in the map would allocate an entry node per overwrite on the current
-// runtime's sync.Map — a per-dispatch allocation on the hot path.)
-type taskCell struct {
-	t atomic.Pointer[Task]
+// Cell is one goroutine's binding slot for values of type T. A goroutine
+// serves one kind of work, so it registers at most one cell.
+type Cell[T any] struct {
+	gid     uint64
+	v       atomic.Pointer[T]
+	handOff func(*T) (resume func())
+}
+
+// NewCell registers a cell for the calling goroutine. The goroutine binds
+// its current work with Set and must call Drop before it exits. handOff,
+// when not nil, is what Wait runs on the bound value before the goroutine
+// blocks: it releases whatever the work holds that others need while it
+// waits, and returns the function that takes it back.
+func NewCell[T any](handOff func(*T) (resume func())) *Cell[T] {
+	c := &Cell[T]{gid: goid(), handOff: handOff}
+	registry.Store(c.gid, c)
+	return c
+}
+
+// Set binds v (nil to unbind) to the cell's goroutine.
+func (c *Cell[T]) Set(v *T) { c.v.Store(v) }
+
+// Drop removes the cell from the registry.
+func (c *Cell[T]) Drop() { registry.Delete(c.gid) }
+
+// release runs the cell's hand-off on its bound value, returning the
+// resume function, or nil when there is nothing to hand off.
+func (c *Cell[T]) release() func() {
+	if c.handOff == nil {
+		return nil
+	}
+	if v := c.v.Load(); v != nil {
+		return c.handOff(v)
+	}
+	return nil
+}
+
+// Wait blocks the calling goroutine until done is closed, releasing what
+// it holds that others may need meanwhile: a task gives up the run token,
+// as in Block; a goroutine whose cell binds work with a hand-off (a
+// dispatch worker's message, say, which a reentrant call may be ordered
+// behind) hands the work off for the duration of the wait.
+func Wait(done <-chan struct{}) {
+	select {
+	case <-done:
+		return
+	default:
+	}
+	if t := Current(); t != nil {
+		t.Release()
+		defer t.Acquire()
+	} else if v, ok := registry.Load(goid()); ok {
+		if c, ok := v.(interface{ release() func() }); ok {
+			if resume := c.release(); resume != nil {
+				defer resume()
+			}
+		}
+	}
+	<-done
+}
+
+// Bound returns the value the calling goroutine's cell binds, or nil when
+// the goroutine has no cell of type T or its cell is unbound. It parses
+// the goroutine id from the stack, so callers gate it behind a cheap
+// check (a count of live bindings) on paths where it is usually nil.
+func Bound[T any]() *T {
+	if v, ok := registry.Load(goid()); ok {
+		if c, ok := v.(*Cell[T]); ok {
+			return c.v.Load()
+		}
+	}
+	return nil
 }
 
 // boundTasks counts goroutines currently executing a task function. When
@@ -33,16 +105,10 @@ type taskCell struct {
 // stack parse off the RPC hot path.
 var boundTasks atomic.Int64
 
-// GoID returns the calling goroutine's id. Exported for the server's
-// per-object dispatch executor, which binds work items to its worker
-// goroutines exactly the way tasks bind here, and consults the binding only
-// on paths that already pay a network round trip.
-func GoID() uint64 { return goid() }
-
 // goid returns the current goroutine's id by parsing the first line of the
 // stack trace ("goroutine N [running]:"). This costs a few microseconds —
-// negligible next to the socket round trip of any distributed upcall, which
-// is the only place it is consulted.
+// negligible next to the wait it precedes: it is consulted only before a
+// goroutine blocks (a distributed upcall's round trip, Wait).
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
@@ -58,36 +124,6 @@ func goid() uint64 {
 	return id
 }
 
-// cellFor returns goroutine gid's binding cell, inserting it on the
-// goroutine's first dispatch.
-func cellFor(gid uint64) *taskCell {
-	if v, ok := currentTasks.Load(gid); ok {
-		return v.(*taskCell)
-	}
-	v, _ := currentTasks.LoadOrStore(gid, &taskCell{})
-	return v.(*taskCell)
-}
-
-// bindAs associates goroutine gid with t for the duration of one dispatch.
-// The caller computes gid once per goroutine (the id never changes), so
-// binding is two cheap writes per dispatch, not a stack parse.
-func (t *Task) bindAs(gid uint64) {
-	cellFor(gid).t.Store(t)
-	boundTasks.Add(1)
-}
-
-// unbind clears the association but keeps the cell: a pooled goroutine
-// re-binds the same cell on its next dispatch with no allocation.
-func unbind(gid uint64) {
-	cellFor(gid).t.Store(nil)
-	boundTasks.Add(-1)
-}
-
-// dropBinding removes the map entry outright when a task goroutine exits.
-func dropBinding(gid uint64) {
-	currentTasks.Delete(gid)
-}
-
 // Current returns the task the calling goroutine is executing, or nil when
 // called outside any task. Blocking primitives use it so that code invoked
 // through plain procedure pointers — upcall proxies in particular — can
@@ -97,10 +133,5 @@ func Current() *Task {
 	if boundTasks.Load() == 0 {
 		return nil
 	}
-	if v, ok := currentTasks.Load(goid()); ok {
-		if t := v.(*taskCell).t.Load(); t != nil {
-			return t
-		}
-	}
-	return nil
+	return Bound[Task]()
 }

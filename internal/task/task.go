@@ -78,16 +78,7 @@ type Task struct {
 	id   uint64
 	wake chan struct{} // buffered(1): wakeup may precede the sleep
 	work chan func(*Task)
-	// onBlock runs just before the task gives up the run token in Block.
-	// Only the task's own goroutine touches it. Schedulable servers use
-	// it to hand off per-session duties (e.g. RPC dispatching) when a
-	// handler blocks for an arbitrary reason.
-	onBlock func()
 }
-
-// SetBlockHook registers fn to run immediately before every Block. Pass
-// nil to clear. Must be called from the task's own function.
-func (t *Task) SetBlockHook(fn func()) { t.onBlock = fn }
 
 // ID returns a scheduler-unique task identifier.
 func (t *Task) ID() uint64 { return t.id }
@@ -126,15 +117,16 @@ func (s *Sched) Spawn(fn func(*Task)) error {
 }
 
 func (t *Task) loop(fn func(*Task)) {
-	gid := goid()
-	defer dropBinding(gid)
+	cell := NewCell[Task](nil)
+	defer cell.Drop()
 	for {
-		t.acquire()
-		t.bindAs(gid)
+		t.Acquire()
+		cell.Set(t)
+		boundTasks.Add(1)
 		fn(t)
-		unbind(gid)
-		t.onBlock = nil // hooks never outlive the function that set them
-		t.release()
+		cell.Set(nil)
+		boundTasks.Add(-1)
+		t.Release()
 		t.s.active.Done()
 
 		// Park for reuse, or exit if the pool is off or the scheduler
@@ -157,21 +149,24 @@ func (t *Task) loop(fn func(*Task)) {
 	}
 }
 
-func (t *Task) acquire() { <-t.s.token }
-func (t *Task) release() { t.s.token <- struct{}{} }
+// Release gives up the run token so the task can block outside the
+// scheduler (on a Go channel, say) without freezing every other task;
+// Acquire takes it back before the task runs on. Block is the same pair
+// around an Event.
+func (t *Task) Release() { t.s.token <- struct{}{} }
+
+// Acquire takes the run token back after Release.
+func (t *Task) Acquire() { <-t.s.token }
 
 // Yield gives other runnable tasks a chance to execute, then resumes.
 func (t *Task) Yield() {
-	t.release()
-	t.acquire()
+	t.Release()
+	t.Acquire()
 }
 
 // Block suspends the task until e occurs. If the event was already
 // signalled, Block consumes the pending occurrence and returns at once.
 func (t *Task) Block(e *Event) {
-	if t.onBlock != nil {
-		t.onBlock()
-	}
 	e.mu.Lock()
 	if e.pending > 0 {
 		e.pending--
@@ -180,9 +175,9 @@ func (t *Task) Block(e *Event) {
 	}
 	e.waiters = append(e.waiters, t)
 	e.mu.Unlock()
-	t.release()
+	t.Release()
 	<-t.wake
-	t.acquire()
+	t.Acquire()
 }
 
 // Event is a condition a task can wait for. Occurrences are counted, so a

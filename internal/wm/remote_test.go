@@ -19,12 +19,14 @@ import (
 // bootWMServer builds the §4.2 topology: a server with the wm library,
 // screen instance S and base window BaseW created at startup and
 // published by name.
-func bootWMServer(t testing.TB) (*core.Server, *wm.Screen, *wm.Window, string) {
+func bootWMServer(t testing.TB, opts ...core.ServerOption) (*core.Server, *wm.Screen, *wm.Window, string) {
 	t.Helper()
 	lib := dynload.NewLibrary()
 	wm.MustRegister(lib, wm.Config{Width: 200, Height: 150})
-	srv := core.NewServer(lib,
-		core.WithServerLog(func(format string, args ...any) { t.Logf(format, args...) }))
+	opts = append([]core.ServerOption{
+		core.WithServerLog(func(format string, args ...any) { t.Logf(format, args...) }),
+	}, opts...)
+	srv := core.NewServer(lib, opts...)
 
 	sobj, _, err := srv.CreateInstance("screen", 0, nil)
 	if err != nil {
@@ -174,6 +176,90 @@ func TestSweepExampleEndToEnd(t *testing.T) {
 	// The created window is painted.
 	if scr.CountColor(9) != 60*20 {
 		t.Errorf("window pixels = %d", scr.CountColor(9))
+	}
+}
+
+// TestRemoteSweepBothDispatchModes is examples/sweep's gesture driven by a
+// remote device driver: the client's own InjectMouseWait call is still
+// running when the pump's "window created" upcall reaches the client,
+// whose handler calls back into the server. Under the serial policy that
+// reentrant Create is ordered behind the InjectMouseWait call, so it can
+// run only because InjectMouseWait hands off its place while it waits.
+func TestRemoteSweepBothDispatchModes(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []core.ServerOption
+	}{
+		{"perobject", nil},
+		{"serial", []core.ServerOption{core.WithPerObjectDispatch(false)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			srv, _, base, path := bootWMServer(t, mode.opts...)
+			c, err := core.Dial("unix", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			baseRem, err := c.NamedObject("basewindow")
+			if err != nil {
+				t.Fatal(err)
+			}
+			screen, err := c.NamedObject("screen")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweepRem, err := c.NewExact("sweep", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sweepRem.Call("Attach", baseRem); err != nil {
+				t.Fatal(err)
+			}
+			created := make(chan error, 1)
+			if err := sweepRem.Call("OnCreated", func(r wm.Rect) {
+				var w *core.Remote
+				created <- baseRem.CallInto("Create", []any{&w}, r, int64(9))
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			drag := make(chan error, 1)
+			go func() {
+				if err := screen.Call("InjectMouse", wm.MouseEvent{Kind: wm.MouseDown, X: 20, Y: 20, Buttons: wm.ButtonLeft}); err != nil {
+					drag <- err
+					return
+				}
+				for x := int16(21); x <= 80; x++ {
+					if err := screen.Async("InjectMouse", wm.MouseEvent{Kind: wm.MouseMove, X: x, Y: x / 2}); err != nil {
+						drag <- err
+						return
+					}
+				}
+				drag <- screen.Call("InjectMouseWait", wm.MouseEvent{Kind: wm.MouseUp, X: 80, Y: 40})
+			}()
+			select {
+			case err := <-drag:
+				if err != nil {
+					t.Fatalf("drag: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("remote InjectMouseWait deadlocked with the reentrant Create")
+			}
+			select {
+			case err := <-created:
+				if err != nil {
+					t.Fatalf("reentrant Create failed: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("window-created upcall never arrived")
+			}
+			if base.ChildCount() != 1 {
+				t.Errorf("base has %d children, want 1", base.ChildCount())
+			}
+			if d := srv.Metrics().Dispatch; mode.opts != nil && d.Parallelism > 1 {
+				t.Errorf("serial Dispatch.Parallelism = %d, want <= 1", d.Parallelism)
+			}
+		})
 	}
 }
 

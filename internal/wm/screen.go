@@ -46,19 +46,13 @@ type Screen struct {
 type inputEvent struct {
 	mouse *MouseEvent
 	key   *KeyEvent
-	// Delivery notification: doneEv for task waiters (token-safe), done
-	// for plain goroutines. At most one is set.
-	done   chan struct{}
-	doneEv *task.Event
+	done  chan struct{} // closed on delivery, if anyone waits for it
 }
 
 // complete signals whoever is waiting for this event's delivery.
 func (ie *inputEvent) complete() {
 	if ie.done != nil {
 		close(ie.done)
-	}
-	if ie.doneEv != nil {
-		ie.doneEv.Signal()
 	}
 }
 
@@ -246,20 +240,14 @@ func (s *Screen) InjectMouse(ev MouseEvent) {
 
 // InjectMouseWait is InjectMouse but returns only after delivery has
 // completed — used by tests, benchmarks and remote device drivers that
-// need a completion edge. When called from a task (e.g. as a remote
-// method running in a dispatcher task), it blocks through the scheduler so
-// the input pump can run.
+// need a completion edge. It waits in task.Wait: a task releases the run
+// token so the input pump can run, and a remote call to it running on a
+// dispatch worker hands off its place in the dispatch order while the
+// pump's upcalls run.
 func (s *Screen) InjectMouseWait(ev MouseEvent) {
-	ie := inputEvent{mouse: &ev}
-	if cur := task.Current(); cur != nil {
-		ie.doneEv = &task.Event{}
-		s.enqueue(ie)
-		cur.Block(ie.doneEv)
-		return
-	}
-	ie.done = make(chan struct{})
+	ie := inputEvent{mouse: &ev, done: make(chan struct{})}
 	s.enqueue(ie)
-	<-ie.done
+	task.Wait(ie.done)
 }
 
 // InjectKey delivers a keyboard event through the registered procedures.
